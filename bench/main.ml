@@ -2,7 +2,7 @@
 
    dune exec bench/main.exe                    -- run everything
    dune exec bench/main.exe -- e3 e5           -- selected experiments
-   dune exec bench/main.exe -- --json a4 micro -- also dump BENCH_10.json
+   dune exec bench/main.exe -- --json a4 micro -- also dump BENCH_14.json
    dune exec bench/main.exe -- --guard-a4 3.0 a4
                                                -- CI perf smoke: fail if the
                                                   COW arm at 64 subs/node
@@ -20,7 +20,12 @@
                                                -- CI fan-out smoke: fail if the
                                                   shared-frame arm at 64 subs
                                                   is under 2x the per-session
-                                                  encode baseline *)
+                                                  encode baseline
+   dune exec bench/main.exe -- --guard-crc 3.0 crc
+                                               -- CI CRC smoke: fail if
+                                                  Wire.crc32 on 8 KiB is
+                                                  under 3x the byte-wise
+                                                  loop it replaced *)
 
 let experiments =
   [ "e1", E1_routing.run; "e2", E2_semantics.run; "e3", E3_factoring.run;
@@ -29,9 +34,9 @@ let experiments =
     "e10", E10_psc.run; "e11", E11_store.run; "ablations", A1_ablations.run;
     "a4", A1_ablations.a4; "micro", Micro.run; "obs", Obs.run;
     "crash", Crash_smoke.run; "shard", Shard_smoke.run;
-    "e13", E13_fanout.run ]
+    "e13", E13_fanout.run; "crc", Micro.crc ]
 
-let json_path = "BENCH_10.json"
+let json_path = "BENCH_14.json"
 
 let guard_a4 limit =
   match Workload.json_find "a4" with
@@ -161,53 +166,74 @@ let guard_fanout floor =
           Fmt.epr "--guard-fanout: missing 64-subs rows in the E13 table@.";
           exit 1)
 
+let guard_crc floor =
+  match Workload.json_find "crc32" with
+  | None ->
+      Fmt.epr "--guard-crc: the crc32 table was not produced (run crc)@.";
+      exit 1
+  | Some (_, rows) -> (
+      let speedup_8k =
+        List.find_map
+          (function
+            | [ Workload.J_int 8192; Workload.J_str "sliced"; _; _;
+                Workload.J_float s ] ->
+                Some s
+            | _ -> None)
+          rows
+      in
+      match speedup_8k with
+      | None ->
+          Fmt.epr "--guard-crc: no 8 KiB sliced row in the crc32 table@.";
+          exit 1
+      | Some s when s < floor ->
+          Fmt.epr
+            "--guard-crc: Wire.crc32 on 8 KiB is %.2fx the byte-wise loop, \
+             below the %.2fx floor@."
+            s floor;
+          exit 1
+      | Some s ->
+          Fmt.pr "crc guard: sliced/bytewise on 8 KiB = %.2fx (floor %.2fx)@."
+            s floor)
+
+(* Each guard flag takes one number and runs after the experiments,
+   in this order. *)
+let guard_flags =
+  [ ("--guard-a4", ("a ratio", guard_a4));
+    ("--guard-shard", ("a ratio", guard_shard));
+    ("--guard-cover", ("a percentage", guard_cover));
+    ("--guard-fanout", ("a ratio", guard_fanout));
+    ("--guard-crc", ("a ratio", guard_crc)) ]
+
 let () =
-  let rec parse json guard shard cover fanout names = function
-    | [] -> json, guard, shard, cover, fanout, List.rev names
-    | "--json" :: rest -> parse true guard shard cover fanout names rest
-    | "--guard-a4" :: limit :: rest -> (
-        match float_of_string_opt limit with
-        | Some l -> parse json (Some l) shard cover fanout names rest
-        | None ->
-            Fmt.epr "--guard-a4 expects a ratio, got %s@." limit;
+  let json = ref false in
+  let limits = Hashtbl.create 4 in
+  let names = ref [] in
+  let rec parse = function
+    | [] -> ()
+    | "--json" :: rest ->
+        json := true;
+        parse rest
+    | flag :: rest when List.mem_assoc flag guard_flags -> (
+        let what, _ = List.assoc flag guard_flags in
+        match rest with
+        | v :: rest -> (
+            match float_of_string_opt v with
+            | Some f ->
+                Hashtbl.replace limits flag f;
+                parse rest
+            | None ->
+                Fmt.epr "%s expects %s, got %s@." flag what v;
+                exit 1)
+        | [] ->
+            Fmt.epr "%s expects %s@." flag what;
             exit 1)
-    | [ "--guard-a4" ] ->
-        Fmt.epr "--guard-a4 expects a ratio@.";
-        exit 1
-    | "--guard-shard" :: floor :: rest -> (
-        match float_of_string_opt floor with
-        | Some f -> parse json guard (Some f) cover fanout names rest
-        | None ->
-            Fmt.epr "--guard-shard expects a ratio, got %s@." floor;
-            exit 1)
-    | [ "--guard-shard" ] ->
-        Fmt.epr "--guard-shard expects a ratio@.";
-        exit 1
-    | "--guard-cover" :: floor :: rest -> (
-        match float_of_string_opt floor with
-        | Some f -> parse json guard shard (Some f) fanout names rest
-        | None ->
-            Fmt.epr "--guard-cover expects a percentage, got %s@." floor;
-            exit 1)
-    | [ "--guard-cover" ] ->
-        Fmt.epr "--guard-cover expects a percentage@.";
-        exit 1
-    | "--guard-fanout" :: floor :: rest -> (
-        match float_of_string_opt floor with
-        | Some f -> parse json guard shard cover (Some f) names rest
-        | None ->
-            Fmt.epr "--guard-fanout expects a ratio, got %s@." floor;
-            exit 1)
-    | [ "--guard-fanout" ] ->
-        Fmt.epr "--guard-fanout expects a ratio@.";
-        exit 1
-    | name :: rest -> parse json guard shard cover fanout (name :: names) rest
+    | name :: rest ->
+        names := name :: !names;
+        parse rest
   in
-  let json, guard, shard, cover, fanout, requested =
-    parse false None None None None [] (List.tl (Array.to_list Sys.argv))
-  in
+  parse (List.tl (Array.to_list Sys.argv));
   let requested =
-    match requested with [] -> List.map fst experiments | names -> names
+    match List.rev !names with [] -> List.map fst experiments | names -> names
   in
   List.iter
     (fun name ->
@@ -218,8 +244,8 @@ let () =
             (String.concat ", " (List.map fst experiments));
           exit 1)
     requested;
-  if json then Workload.write_json json_path;
-  Option.iter guard_a4 guard;
-  Option.iter guard_shard shard;
-  Option.iter guard_cover cover;
-  Option.iter guard_fanout fanout
+  if !json then Workload.write_json json_path;
+  List.iter
+    (fun (flag, (_, guard)) ->
+      Option.iter guard (Hashtbl.find_opt limits flag))
+    guard_flags

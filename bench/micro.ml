@@ -1,5 +1,6 @@
 (* Bechamel micro-benchmarks: per-operation costs of the core data
-   paths. One Test.make per row. *)
+   paths. One Test.make per row. [crc] times the CRC-32 kernel against
+   the byte-wise loop it replaced. *)
 
 open Bechamel
 open Toolkit
@@ -139,3 +140,75 @@ let run () =
                  Workload.json_row ~key:"micro"
                    [ J_str name; J_float est ]
              | _ -> Fmt.pr "%-45s %12s@." name "n/a"))
+
+(* --- CRC-32 kernel vs the byte-wise baseline ------------------------- *)
+
+(* The loop Wire.crc32 used before slicing-by-8: one byte per step
+   through a 256-entry boxed Int32 table. Kept here only as the
+   baseline of the [crc] rows and the --guard-crc ratio. *)
+let bytewise_table =
+  lazy
+    (let table = Array.make 256 0l in
+     for i = 0 to 255 do
+       let c = ref (Int32.of_int i) in
+       for _ = 0 to 7 do
+         c :=
+           if Int32.logand !c 1l <> 0l then
+             Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+           else Int32.shift_right_logical !c 1
+       done;
+       table.(i) <- !c
+     done;
+     table)
+
+let crc32_bytewise s =
+  let table = Lazy.force bytewise_table in
+  let c = ref 0xFFFFFFFFl in
+  for i = 0 to String.length s - 1 do
+    let idx =
+      Int32.to_int
+        (Int32.logand
+           (Int32.logxor !c (Int32.of_int (Char.code (String.unsafe_get s i))))
+           0xffl)
+    in
+    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+  done;
+  Int32.logxor !c 0xFFFFFFFFl
+
+(* Best-of-7 ns per call over ~32 MB of input per sample: the minimum
+   is the figure least disturbed by the rest of the machine. *)
+let ns_per_call f s =
+  let iters = max 1 ((32 lsl 20) / max 1 (String.length s)) in
+  let best = ref infinity in
+  for _ = 1 to 7 do
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to iters do
+      ignore (Sys.opaque_identity (f (Sys.opaque_identity s)))
+    done;
+    let dt = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters in
+    if dt < !best then best := dt
+  done;
+  !best
+
+let crc () =
+  Fmt.pr "@.== crc32: Wire.crc32 (slicing-by-8) vs the byte-wise loop ==@.";
+  Workload.json_table ~key:"crc32"
+    ~cols:[ "bytes"; "arm"; "ns_per_op"; "mb_per_s"; "speedup" ];
+  Fmt.pr "%8s  %-10s %12s %10s %8s@." "bytes" "arm" "ns/op" "MB/s" "speedup";
+  List.iter
+    (fun n ->
+      let rng = Tpbs_sim.Rng.create n in
+      let s = String.init n (fun _ -> Char.chr (Tpbs_sim.Rng.int rng 256)) in
+      if not (Int32.equal (Tpbs_serial.Wire.crc32 s) (crc32_bytewise s)) then
+        failwith "crc: kernel disagrees with the byte-wise baseline";
+      let base = ns_per_call crc32_bytewise s in
+      let sliced = ns_per_call Tpbs_serial.Wire.crc32 s in
+      List.iter
+        (fun (arm, ns) ->
+          let mbs = float_of_int n /. ns *. 1e3 in
+          let speedup = base /. ns in
+          Fmt.pr "%8d  %-10s %12.1f %10.1f %7.2fx@." n arm ns mbs speedup;
+          Workload.json_row ~key:"crc32"
+            [ J_int n; J_str arm; J_float ns; J_float mbs; J_float speedup ])
+        [ ("bytewise", base); ("sliced", sliced) ])
+    [ 100; 8192 ]

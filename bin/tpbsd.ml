@@ -3,7 +3,8 @@
    A thin CLI shell over Tpbs_transport.Broker: bind, serve until
    SIGINT/SIGTERM, then export the metrics registry (counters, queue
    gauges with peaks) as JSONL to --metrics or $TPBS_TRACE_FILE for
-   tpbs_report. *)
+   tpbs_report. An exception out of one engine turn is counted
+   ([tpbsd.poll_errors]) and survived. *)
 
 let usage () =
   prerr_endline
@@ -53,8 +54,19 @@ let () =
   in
   Printf.printf "tpbsd: listening on %s:%d\n%!" !host
     (Tpbs_transport.Broker.port b);
+  (* One failing turn must not take the daemon down (e.g. [select]
+     raising EINVAL on an fd past FD_SETSIZE): count it, report it,
+     back off briefly so a persistent fault cannot spin, go on. *)
+  let poll_errors =
+    Tpbs_trace.Trace.counter (Tpbs_trace.Trace.ambient ()) "tpbsd.poll_errors"
+  in
   while not !stop do
-    ignore (Tpbs_transport.Broker.poll b ~timeout_ms:200 ())
+    match Tpbs_transport.Broker.poll b ~timeout_ms:200 () with
+    | _ -> ()
+    | exception e ->
+        Tpbs_trace.Trace.Counter.incr poll_errors;
+        Printf.eprintf "tpbsd: poll failed: %s\n%!" (Printexc.to_string e);
+        Unix.sleepf 0.05
   done;
   Tpbs_transport.Broker.stop b;
   (match !metrics with

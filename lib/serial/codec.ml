@@ -187,25 +187,3 @@ let int_prefix r =
 
 let clone v = decode (encode v)
 let encoded_size v = String.length (encode v)
-
-let frame payload =
-  let w = Wire.Writer.create ~capacity:(String.length payload + 10) () in
-  Wire.Writer.varint w (String.length payload);
-  Wire.Writer.raw w payload;
-  let crc = Wire.crc32 payload in
-  Wire.Writer.varint w (Int32.to_int (Int32.logand crc 0xFFFFFFFFl) land 0xFFFFFFFF);
-  Wire.Writer.contents w
-
-let unframe s =
-  let r = Wire.Reader.of_string s in
-  try
-    let n = Wire.Reader.varint r in
-    let payload = Wire.Reader.raw r n in
-    let crc = Wire.Reader.varint r in
-    let expect = Int32.to_int (Int32.logand (Wire.crc32 payload) 0xFFFFFFFFl) land 0xFFFFFFFF in
-    if crc <> expect then raise (Decode_error "frame checksum mismatch");
-    if not (Wire.Reader.at_end r) then raise (Decode_error "frame trailing bytes");
-    payload
-  with
-  | Wire.Truncated what -> raise (Decode_error ("frame truncated: " ^ what))
-  | Wire.Malformed what -> raise (Decode_error ("frame malformed: " ^ what))

@@ -72,11 +72,3 @@ val clone : Value.t -> Value.t
 
 val encoded_size : Value.t -> int
 (** Number of bytes {!encode} would produce. *)
-
-val frame : string -> string
-(** Wrap a payload into a checksummed length-prefixed frame, as used
-    by the simulated transport. *)
-
-val unframe : string -> string
-(** Inverse of {!frame}.
-    @raise Decode_error if the length or checksum is wrong. *)

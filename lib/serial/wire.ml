@@ -86,6 +86,8 @@ module Writer = struct
     raw_sub w s ~pos ~len
 
   let contents w = Bytes.sub_string w.buf 0 w.len
+  let unsafe_contents w = Bytes.unsafe_to_string w.buf
+  let reset w = w.len <- 0
 end
 
 module Reader = struct
@@ -184,33 +186,124 @@ module Reader = struct
     skip r n
 end
 
-let crc_table =
-  lazy
-    (let table = Array.make 256 0l in
-     for i = 0 to 255 do
-       let c = ref (Int32.of_int i) in
-       for _ = 0 to 7 do
-         c :=
-           if Int32.logand !c 1l <> 0l then
-             Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-           else Int32.shift_right_logical !c 1
-       done;
-       table.(i) <- !c
-     done;
-     table)
+(* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320, init and
+   xor-out 0xFFFFFFFF), slicing-by-8 over native ints. Table [k] maps a
+   byte to its CRC contribution from [k] positions further back, so
+   one step folds eight input bytes with eight independent lookups
+   instead of a serial chain of eight. Row [k] lives at [k * 256] in
+   one flat int array; entries fit in 32 bits, so nothing is boxed. *)
+let crc_tables =
+  let t = Array.make (8 * 256) 0 in
+  for i = 0 to 255 do
+    let c = ref i in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(i) <- !c
+  done;
+  for k = 1 to 7 do
+    for i = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + i) in
+      t.((k * 256) + i) <- (prev lsr 8) lxor t.(prev land 0xff)
+    done
+  done;
+  t
+
+external get32u : string -> int -> int32 = "%caml_string_get32u"
+
+(* Little-endian 32-bit load as a non-negative int. Callers have
+   bounds-checked the whole range already. *)
+let load32 s i =
+  let w = Int32.to_int (get32u s i) land 0xffffffff in
+  if Sys.big_endian then
+    ((w land 0xff) lsl 24)
+    lor ((w land 0xff00) lsl 8)
+    lor ((w lsr 8) land 0xff00)
+    lor (w lsr 24)
+  else w
+
+(* The checksum of [s.[pos .. pos+len-1]] as a non-negative int in
+   [0, 2^32); no bounds checks. *)
+let crc_int s pos len =
+  let t = crc_tables in
+  let c = ref 0xFFFFFFFF in
+  let i = ref pos in
+  let stop8 = pos + len - 8 in
+  while !i <= stop8 do
+    let lo = load32 s !i lxor !c in
+    let hi = load32 s (!i + 4) in
+    c :=
+      Array.unsafe_get t ((7 * 256) + (lo land 0xff))
+      lxor Array.unsafe_get t ((6 * 256) + ((lo lsr 8) land 0xff))
+      lxor Array.unsafe_get t ((5 * 256) + ((lo lsr 16) land 0xff))
+      lxor Array.unsafe_get t ((4 * 256) + (lo lsr 24))
+      lxor Array.unsafe_get t ((3 * 256) + (hi land 0xff))
+      lxor Array.unsafe_get t ((2 * 256) + ((hi lsr 8) land 0xff))
+      lxor Array.unsafe_get t (256 + ((hi lsr 16) land 0xff))
+      lxor Array.unsafe_get t (hi lsr 24);
+    i := !i + 8
+  done;
+  for j = !i to pos + len - 1 do
+    c :=
+      Array.unsafe_get t
+        ((!c lxor Char.code (String.unsafe_get s j)) land 0xff)
+      lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
 
 let crc32_sub s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Wire.crc32_sub";
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  for i = pos to pos + len - 1 do
-    let ch = String.unsafe_get s i in
-    let idx =
-      Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xffl)
-    in
-    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
-  done;
-  Int32.logxor !c 0xFFFFFFFFl
+  Int32.of_int (crc_int s pos len)
 
 let crc32 s = crc32_sub s ~pos:0 ~len:(String.length s)
+
+(* The one checksummed framing, shared by the TCP transport and the
+   durable log:
+
+     [ payload length : u32 LE | crc32(payload) : u32 LE | payload ]
+
+   A frame is built in place: [add] reserves the header, lets the
+   caller encode the payload straight into the same writer, then
+   patches length and CRC over the writer's own bytes — no payload
+   string, no second buffer. [check] validates a frame where it lies. *)
+module Frame = struct
+  let header_bytes = 8
+  let max_payload = 0x7fffffff
+
+  let add w encode x =
+    let start = w.Writer.len in
+    Writer.ensure w header_bytes;
+    w.len <- start + header_bytes;
+    match encode w x with
+    | () ->
+        let n = w.len - start - header_bytes in
+        if n > max_payload then begin
+          w.len <- start;
+          invalid_arg "Wire.Frame.add: payload too large"
+        end;
+        let crc = crc_int (Bytes.unsafe_to_string w.buf) (start + header_bytes) n in
+        Bytes.set_int32_le w.buf start (Int32.of_int n);
+        Bytes.set_int32_le w.buf (start + 4) (Int32.of_int crc)
+    | exception e ->
+        w.len <- start;
+        raise e
+
+  type status = Whole | Short | Bad_length | Bad_crc
+
+  let payload_length s ~off = Int32.to_int (String.get_int32_le s off)
+
+  let check ~max_len s ~off ~avail =
+    if off < 0 || avail < 0 || off + avail > String.length s then
+      invalid_arg "Wire.Frame.check";
+    if avail < header_bytes then Short
+    else
+      let n = payload_length s ~off in
+      if n < 0 || n > max_len then Bad_length
+      else if avail - header_bytes < n then Short
+      else if
+        crc_int s (off + header_bytes) n
+        = Int32.to_int (String.get_int32_le s (off + 4)) land 0xffffffff
+      then Whole
+      else Bad_crc
+end

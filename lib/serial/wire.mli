@@ -62,6 +62,15 @@ module Writer : sig
 
   val contents : t -> string
   (** Snapshot of everything written so far. *)
+
+  val unsafe_contents : t -> string
+  (** The writer's own storage, without a copy: bytes
+      [0 .. length w - 1] are the contents, anything after is slack.
+      The string aliases mutable memory and is invalidated by the next
+      write or {!reset} — hand it to a syscall, or copy, first. *)
+
+  val reset : t -> unit
+  (** Empty the writer, keeping its capacity for reuse. *)
 end
 
 (** {1 Readers} *)
@@ -112,10 +121,57 @@ module Reader : sig
 end
 
 val crc32 : string -> int32
-(** CRC-32 (IEEE) checksum, used to guard message frames in the
-    simulated transport. *)
+(** CRC-32 (IEEE 802.3: reflected polynomial [0xEDB88320], init and
+    xor-out [0xFFFFFFFF]; ["123456789"] gives [0xCBF43926]). Computed
+    slicing-by-8 over native ints: eight bytes per step through one
+    flat 8×256 table, then a byte-wise tail. Guards every {!Frame}. *)
 
 val crc32_sub : string -> pos:int -> len:int -> int32
 (** {!crc32} over [s.[pos .. pos+len-1]] without extracting the slice
     — lets a stream decoder check a frame in place.
     @raise Invalid_argument on an out-of-bounds slice. *)
+
+(** {1 Checksummed frames}
+
+    The one framing of the system, shared by the TCP transport and the
+    durable log:
+
+    {v [ payload length : u32 LE | crc32(payload) : u32 LE | payload ] v}
+
+    The length prefix makes a byte stream self-framing; the CRC makes
+    each frame independently checkable. Frames are sealed and verified
+    in place: no payload string is built on the way out, none is cut
+    on the way in. *)
+module Frame : sig
+  val header_bytes : int
+  (** [8]: length + CRC. *)
+
+  val add : Writer.t -> (Writer.t -> 'a -> unit) -> 'a -> unit
+  (** [add w encode x] appends one frame to [w]: it reserves the
+      header, runs [encode w x] to write the payload straight into
+      [w], then patches the length and the CRC over [w]'s own bytes.
+      If [encode] raises, [w] is rolled back to where it was and the
+      exception is re-raised.
+      @raise Invalid_argument on a payload of 2{^31} bytes or more. *)
+
+  type status =
+    | Whole  (** a complete frame whose CRC matches *)
+    | Short  (** fewer bytes than the header announces (or no header) *)
+    | Bad_length
+        (** the length field is negative (top bit set) or above the
+            caller's bound *)
+    | Bad_crc  (** complete, but the payload fails its CRC *)
+
+  val check : max_len:int -> string -> off:int -> avail:int -> status
+  (** [check ~max_len s ~off ~avail] classifies the frame starting at
+      [s.[off]], given that [avail] bytes from there are present. On
+      [Whole] the payload is [s.[off + header_bytes ..]] of
+      {!payload_length} bytes. The checks run in order — header
+      present, length in [0 .. max_len], payload present, CRC — so a
+      wild length is [Bad_length] even before its bytes arrive.
+      @raise Invalid_argument on an out-of-bounds range. *)
+
+  val payload_length : string -> off:int -> int
+  (** The raw length field of the frame at [off], sign-extended: a
+      field with the top bit set reads negative. *)
+end

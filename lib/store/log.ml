@@ -478,12 +478,11 @@ let open_ ?(segment_bytes = 1 lsl 20) ?(compact_min_dead = 64)
               Trace.Counter.incr t.c_recovered;
               scan next
           | Record.End -> ()
-          | Record.Torn | Record.Corrupt ->
-              (match Record.read buf off with
-              | Record.Corrupt ->
-                  t.corrupt_records <- t.corrupt_records + 1;
-                  Trace.Counter.incr t.c_crc_rejects
-              | _ -> ());
+          | (Record.Torn | Record.Corrupt) as bad ->
+              if bad = Record.Corrupt then begin
+                t.corrupt_records <- t.corrupt_records + 1;
+                Trace.Counter.incr t.c_crc_rejects
+              end;
               t.torn_bytes <- t.torn_bytes + (len - off);
               Trace.Counter.add t.c_torn_bytes (len - off);
               let oc = open_out_bin path in

@@ -113,6 +113,9 @@ type config = {
          retransmit — otherwise an early retransmit routes to the
          subset that reconnected first, gets acked, and is lost to the
          late re-subscribers forever *)
+  max_sessions : int;
+      (* accepts beyond this many live sessions are closed at once:
+         [Unix.select] fails outright on an fd past FD_SETSIZE *)
 }
 
 let default_config =
@@ -124,6 +127,7 @@ let default_config =
     covering = true;
     shared_frames = true;
     warmup_ms = 750;
+    max_sessions = 900;
   }
 
 type t = {
@@ -143,6 +147,7 @@ type t = {
   mutable stopped : bool;
   (* observability *)
   c_accepts : Trace.Counter.t;
+  c_refused : Trace.Counter.t;
   c_pubs : Trace.Counter.t;
   c_dup_pubs : Trace.Counter.t;
   c_forwarded : Trace.Counter.t;
@@ -196,6 +201,7 @@ let create ?(config = default_config) ?(host = "127.0.0.1") ?listen_fd
     t_started = Unix.gettimeofday ();
     stopped = false;
     c_accepts = Trace.counter tr "tpbsd.accepts";
+    c_refused = Trace.counter tr "tpbsd.accept_refused";
     c_pubs = Trace.counter tr "tpbsd.pubs";
     c_dup_pubs = Trace.counter tr "tpbsd.dup_pubs";
     c_forwarded = Trace.counter tr "tpbsd.forwarded";
@@ -612,6 +618,9 @@ let accept_all t =
   let continue = ref true in
   while !continue && not t.stopped do
     match Unix.accept t.listen_fd with
+    | fd, _addr when List.length t.sessions >= t.cfg.max_sessions ->
+        Trace.Counter.incr t.c_refused;
+        (try Unix.close fd with Unix.Unix_error _ -> ())
     | fd, _addr ->
         Trace.Counter.incr t.c_accepts;
         let s =

@@ -41,7 +41,7 @@
     the live index.
 
     Metrics (ambient {!Tpbs_trace.Trace} registry): counters
-    [tpbsd.accepts], [tpbsd.pubs], [tpbsd.dup_pubs],
+    [tpbsd.accepts], [tpbsd.accept_refused], [tpbsd.pubs], [tpbsd.dup_pubs],
     [tpbsd.forwarded], [tpbsd.acked], [tpbsd.bad_frames],
     [tpbsd.bad_adverts], [tpbsd.disconnects], [broker.subs_covered],
     [broker.subs_restored]; gauges [tpbsd.sessions], [tpbsd.qdepth]
@@ -78,6 +78,11 @@ type config = {
           re-subscribe before publishers may retransmit — an early
           retransmit would route to whoever reconnected first, get
           acknowledged, and be lost to the late re-subscribers *)
+  max_sessions : int;
+      (** live sessions at most (900 in {!default_config}, safely
+          below [FD_SETSIZE], past which [Unix.select] fails): a
+          surplus connection is closed as soon as it is accepted and
+          counted by [tpbsd.accept_refused] *)
 }
 
 val default_config : config

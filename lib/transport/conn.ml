@@ -1,19 +1,20 @@
 module Trace = Tpbs_trace.Trace
+module Wire = Tpbs_serial.Wire
 
 (* One framed, non-blocking connection.
 
-   The write side batches: [send] only appends the encoded frame to an
-   in-memory buffer, and [flush] pushes as much as the kernel will
-   take in one [write]. A pump that sends a burst of small envelopes
-   and then flushes once coalesces them all into a single syscall (and
-   a single TCP segment, usually) — the batching factor shows up as
-   [transport.frames_sent] / [transport.write_syscalls].
+   The write side batches: [send] encodes the message straight into
+   its frame at the end of an accumulator buffer (sealed in place, no
+   intermediate strings), and [flush] pushes as much as the kernel
+   will take in one [write]. A pump that sends a burst of small
+   envelopes and then flushes once coalesces them all into a single
+   syscall (and a single TCP segment, usually) — the batching factor
+   shows up as [transport.frames_sent] / [transport.write_syscalls].
 
-   Pending bytes live in a chunk queue rather than one flat buffer:
-   small frames coalesce into a shared accumulator chunk as before,
-   but a large {!Frame.preframed} fan-out frame is enqueued by
-   reference — the same immutable string queued on every subscriber
-   session, written to each socket with zero copies in userland.
+   Pending bytes live in a chunk queue ahead of the accumulator: a
+   large {!Frame.preframed} fan-out frame is enqueued by reference —
+   the same immutable string queued on every subscriber session,
+   written to each socket with zero copies in userland.
 
    The read side is symmetric: [recv] does one [read] into a scratch
    buffer and feeds the incremental {!Frame.Decoder}; [pop_view] then
@@ -23,23 +24,25 @@ module Trace = Tpbs_trace.Trace
 
 type verdict = [ `Ok | `Blocked | `Closed of string ]
 
-(* A queued run of bytes: [data.[off ..]] remains to be written. Small
-   frames share an accumulator chunk; each large frame is its own
-   chunk, holding the (possibly shared) string by reference. *)
-type chunk = { data : string; mutable off : int }
+(* A queued run of bytes: [data.[off .. stop-1]] remains to be
+   written. Each large preframed frame is its own chunk, holding the
+   (possibly shared) string by reference; accumulator bytes spilled
+   ahead of it form another. *)
+type chunk = { data : string; mutable off : int; stop : int }
 
-(* Frames at or below this size are coalesced (copied) into the
-   accumulator; larger ones are enqueued by reference. The threshold
-   trades one small memcpy for syscall batching: a burst of control
-   frames still leaves in one [write], while a big envelope — where
-   the copy would cost more than a syscall — goes out directly. *)
+(* Preframed frames at or below this size are coalesced (copied) into
+   the accumulator; larger ones are enqueued by reference. The
+   threshold trades one small memcpy for syscall batching: a burst of
+   control frames still leaves in one [write], while a big envelope —
+   where the copy would cost more than a syscall — goes out directly. *)
 let coalesce_limit = 4096
 
 type t = {
   fd : Unix.file_descr;
   dec : Frame.Decoder.t;
-  wbuf : Buffer.t;  (* small frames accumulating for the next write *)
-  chunks : chunk Queue.t;  (* sealed runs, in send order *)
+  wbuf : Wire.Writer.t;  (* frames accumulating for the next write *)
+  mutable wpos : int;  (* first byte of [wbuf] not yet written *)
+  chunks : chunk Queue.t;  (* runs queued ahead of [wbuf], in send order *)
   mutable chunk_bytes : int;  (* unwritten bytes across [chunks] *)
   scratch : Bytes.t;
   mutable closed : bool;
@@ -96,7 +99,8 @@ let create ?max_frame fd =
   {
     fd;
     dec = Frame.Decoder.create ?max_frame ();
-    wbuf = Buffer.create 4096;
+    wbuf = Wire.Writer.create ~capacity:4096 ();
+    wpos = 0;
     chunks = Queue.create ();
     chunk_bytes = 0;
     scratch = Bytes.create 65536;
@@ -110,24 +114,31 @@ let create ?max_frame fd =
   }
 
 let fd t = t.fd
-let pending_bytes t = t.chunk_bytes + Buffer.length t.wbuf
+let pending_bytes t = t.chunk_bytes + Wire.Writer.length t.wbuf - t.wpos
 
-(* Move the accumulator's contents to the back of the chunk queue, so
-   later chunks (and later accumulated frames) stay in send order. *)
-let seal t =
-  let n = Buffer.length t.wbuf in
+(* Move the accumulator's unwritten bytes to the back of the chunk
+   queue, so a chunk enqueued next stays behind them in send order. *)
+let spill t =
+  let n = Wire.Writer.length t.wbuf - t.wpos in
   if n > 0 then begin
-    Queue.push { data = Buffer.contents t.wbuf; off = 0 } t.chunks;
-    t.chunk_bytes <- t.chunk_bytes + n;
-    Buffer.clear t.wbuf
-  end
+    Queue.push
+      {
+        data = String.sub (Wire.Writer.unsafe_contents t.wbuf) t.wpos n;
+        off = 0;
+        stop = n;
+      }
+      t.chunks;
+    t.chunk_bytes <- t.chunk_bytes + n
+  end;
+  Wire.Writer.reset t.wbuf;
+  t.wpos <- 0
 
 let count_sent t =
   t.frames_sent <- t.frames_sent + 1;
   Trace.Counter.incr (counters ()).c_frames_sent
 
 let send t msg =
-  Buffer.add_string t.wbuf (Frame.frame (Proto.encode msg));
+  Wire.Frame.add t.wbuf Proto.encode_into msg;
   count_sent t
 
 (* Enqueue an already-framed string. The string itself is immutable
@@ -136,18 +147,17 @@ let send t msg =
    once for the lot. Small frames still coalesce (one counted copy
    into the accumulator) so fan-out of tiny envelopes keeps the
    syscall batching; large frames ride by reference, copy-free. *)
-let send_preframed t pf =
-  let s = Frame.preframed_bytes pf in
+let send_preframed t (pf : Frame.preframed) =
   let c = counters () in
   Trace.Counter.incr c.c_fanout_shared;
-  if String.length s <= coalesce_limit then begin
-    Buffer.add_string t.wbuf s;
+  if pf.pf_len <= coalesce_limit then begin
+    Wire.Writer.raw_sub t.wbuf pf.pf_buf ~pos:0 ~len:pf.pf_len;
     Trace.Counter.incr c.c_payload_copies
   end
   else begin
-    seal t;
-    Queue.push { data = s; off = 0 } t.chunks;
-    t.chunk_bytes <- t.chunk_bytes + String.length s
+    spill t;
+    Queue.push { data = pf.pf_buf; off = 0; stop = pf.pf_len } t.chunks;
+    t.chunk_bytes <- t.chunk_bytes + pf.pf_len
   end;
   count_sent t
 
@@ -157,25 +167,34 @@ let close t =
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
 
-(* Push pending chunks at the kernel until it blocks or we drain. *)
+(* One [write] of [data.[off .. off+len-1]]: [Ok n] bytes taken (0
+   when the kernel would block), [Error] when the peer is gone. *)
+let write_some t data off len =
+  match Unix.write_substring t.fd data off len with
+  | n ->
+      t.write_syscalls <- t.write_syscalls + 1;
+      t.bytes_sent <- t.bytes_sent + n;
+      let c = counters () in
+      Trace.Counter.incr c.c_write_sys;
+      Trace.Counter.add c.c_bytes_sent n;
+      Ok n
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
+      Ok 0
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+
+(* Push the chunk queue, then the accumulator, at the kernel until it
+   blocks or we drain. The accumulator is written where it lies. *)
 let flush t : verdict =
   if t.closed then `Closed "closed"
-  else begin
-    seal t;
+  else
     let rec drain () =
       match Queue.peek_opt t.chunks with
-      | None -> `Ok
       | Some chunk -> (
-          let len = String.length chunk.data - chunk.off in
-          match Unix.write_substring t.fd chunk.data chunk.off len with
-          | 0 -> `Blocked
-          | n ->
-              t.write_syscalls <- t.write_syscalls + 1;
-              t.bytes_sent <- t.bytes_sent + n;
+          let len = chunk.stop - chunk.off in
+          match write_some t chunk.data chunk.off len with
+          | Error e -> `Closed e
+          | Ok n ->
               t.chunk_bytes <- t.chunk_bytes - n;
-              let c = counters () in
-              Trace.Counter.incr c.c_write_sys;
-              Trace.Counter.add c.c_bytes_sent n;
               if n = len then begin
                 ignore (Queue.pop t.chunks);
                 drain ()
@@ -183,15 +202,24 @@ let flush t : verdict =
               else begin
                 chunk.off <- chunk.off + n;
                 `Blocked
-              end
-          | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _)
-            ->
-              `Blocked
-          | exception Unix.Unix_error (e, _, _) ->
-              `Closed (Unix.error_message e))
+              end)
+      | None -> (
+          let len = Wire.Writer.length t.wbuf - t.wpos in
+          if len = 0 then `Ok
+          else
+            match
+              write_some t (Wire.Writer.unsafe_contents t.wbuf) t.wpos len
+            with
+            | Error e -> `Closed e
+            | Ok n when n = len ->
+                Wire.Writer.reset t.wbuf;
+                t.wpos <- 0;
+                `Ok
+            | Ok n ->
+                t.wpos <- t.wpos + n;
+                `Blocked)
     in
     drain ()
-  end
 
 (* One read syscall; feed whatever arrived to the decoder. *)
 let recv t : verdict =

@@ -1,44 +1,50 @@
 module Wire = Tpbs_serial.Wire
 
-(* Stream framing for the real transport:
-
-     [ payload length : u32 LE | crc32(payload) : u32 LE | payload ]
-
-   — the same shape lib/store/record gives durable log records, for
-   the same reason: the length prefix makes a byte stream
-   self-framing, and the CRC makes every frame independently
-   checkable, so the receive side can tell "more bytes coming" (a
-   short read mid-frame) from "the stream is damaged" (bit rot, a
-   desynchronized peer, or an attacker). TCP never re-orders or drops
-   within a connection, so unlike the on-disk scan there is no
-   re-synchronization: a corrupt frame condemns the connection.
+(* Stream framing for the real transport: {!Wire.Frame}, the
+   [len | crc32 | payload] framing the durable log uses too. The
+   length prefix makes a byte stream self-framing, and the CRC makes
+   every frame independently checkable, so the receive side can tell
+   "more bytes coming" (a short read mid-frame) from "the stream is
+   damaged" (bit rot, a desynchronized peer, or an attacker). TCP
+   never re-orders or drops within a connection, so unlike the on-disk
+   scan there is no re-synchronization: a corrupt frame condemns the
+   connection.
 
    The decoder is pure (no fds) and incremental: feed it whatever the
    socket returned — one byte at a time if that is what [read] gave
    you — and pop complete frames. That keeps it unit-testable under
    adversarial input without a socket in sight. *)
 
-let header_bytes = 8
+let header_bytes = Wire.Frame.header_bytes
 let default_max_frame = 1 lsl 24 (* 16 MiB: far above any envelope *)
-
-let frame payload =
-  let n = String.length payload in
-  let b = Bytes.create (header_bytes + n) in
-  Bytes.set_int32_le b 0 (Int32.of_int n);
-  Bytes.set_int32_le b 4 (Wire.crc32 payload);
-  Bytes.blit_string payload 0 b header_bytes n;
-  Bytes.unsafe_to_string b
 
 (* A frame built once and shared by reference across any number of
    connections: header + CRC are computed at construction, so fanning
    an event out to N subscribers costs one encode and one CRC no
-   matter what N is. The type is abstract so only bytes that really
-   went through [frame] can be enqueued as-is on a socket. *)
-type preframed = string
+   matter what N is. The frame is [pf_buf.[0 .. pf_len-1]]: the
+   storage of the writer it was sealed in, taken over as is (any
+   slack past [pf_len] is never sent). The type is private so only
+   bytes that really went through [Wire.Frame.add] can be enqueued
+   as-is on a socket. *)
+type preframed = { pf_buf : string; pf_len : int }
 
-let preframed payload = frame payload
-let preframed_bytes (p : preframed) : string = p
-let preframed_length (p : preframed) = String.length p - header_bytes
+let preframe ~capacity encode x =
+  let w = Wire.Writer.create ~capacity:(header_bytes + capacity) () in
+  Wire.Frame.add w encode x;
+  (* [w] dies here, so its storage is never written again and may be
+     shared without a copy *)
+  { pf_buf = Wire.Writer.unsafe_contents w; pf_len = Wire.Writer.length w }
+
+let preframed_bytes p =
+  if p.pf_len = String.length p.pf_buf then p.pf_buf
+  else String.sub p.pf_buf 0 p.pf_len
+
+let preframed_length p = p.pf_len - header_bytes
+
+(* Sized exactly, so the storage is the frame: no copy. *)
+let frame payload =
+  preframed_bytes
+    (preframe ~capacity:(String.length payload) Wire.Writer.raw payload)
 
 module Decoder = struct
   type t = {
@@ -115,31 +121,30 @@ module Decoder = struct
   let pop_view t =
     match t.dead with
     | Some msg -> V_corrupt msg
-    | None ->
-        if t.len < header_bytes then V_await
-        else
-          let n = Int32.to_int (Bytes.get_int32_le t.buf t.start) in
-          if n < 0 || n > t.max_frame then begin
-            let msg = Printf.sprintf "frame length %d out of bounds" n in
+    | None -> (
+        let src = Bytes.unsafe_to_string t.buf in
+        match
+          Wire.Frame.check ~max_len:t.max_frame src ~off:t.start ~avail:t.len
+        with
+        | Wire.Frame.Short -> V_await
+        | Wire.Frame.Bad_length ->
+            let msg =
+              Printf.sprintf "frame length %d out of bounds"
+                (Wire.Frame.payload_length src ~off:t.start)
+            in
             condemn t msg;
             V_corrupt msg
-          end
-          else if t.len < header_bytes + n then V_await
-          else
-            let crc = Bytes.get_int32_le t.buf (t.start + 4) in
-            let src = Bytes.unsafe_to_string t.buf in
+        | Wire.Frame.Bad_crc ->
+            condemn t "frame crc mismatch";
+            V_corrupt "frame crc mismatch"
+        | Wire.Frame.Whole ->
+            let n = Wire.Frame.payload_length src ~off:t.start in
             let off = t.start + header_bytes in
-            if Wire.crc32_sub src ~pos:off ~len:n <> crc then begin
-              condemn t "frame crc mismatch";
-              V_corrupt "frame crc mismatch"
-            end
-            else begin
-              t.start <- t.start + header_bytes + n;
-              t.len <- t.len - header_bytes - n;
-              if t.len = 0 then t.start <- 0;
-              t.frames <- t.frames + 1;
-              V_frame (src, off, n)
-            end
+            t.start <- off + n;
+            t.len <- t.len - header_bytes - n;
+            if t.len = 0 then t.start <- 0;
+            t.frames <- t.frames + 1;
+            V_frame (src, off, n))
 
   let pop t =
     match pop_view t with

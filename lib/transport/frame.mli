@@ -1,9 +1,9 @@
 (** Length-prefixed, CRC-checked stream framing for the TCP transport.
 
-    Frames are [len u32 LE | crc32(payload) u32 LE | payload] — the
-    same shape as {!Tpbs_store.Record} gives durable log records — so
-    a byte stream becomes self-framing and every frame is
-    independently checkable. Unlike the on-disk scan there is no
+    Frames are {!Tpbs_serial.Wire.Frame}s, [len u32 LE | crc32(payload)
+    u32 LE | payload] — the one framing {!Tpbs_store.Record} gives
+    durable log records too — so a byte stream becomes self-framing
+    and every frame is independently checkable. Unlike the on-disk scan there is no
     resynchronization: within a TCP connection bytes never reorder, so
     a bad length or CRC means the stream itself is damaged and the
     connection must be torn down. *)
@@ -14,18 +14,28 @@ val default_max_frame : int
 val frame : string -> string
 (** Wrap a payload in a frame header. *)
 
-type preframed
+type preframed = private { pf_buf : string; pf_len : int }
 (** A frame built once and shared by reference across any number of
     connections: the fan-out currency of the encode-once delivery
-    path. Abstract so only bytes that really carry a valid header +
+    path. The frame is [pf_buf.[0 .. pf_len-1]] — the storage it was
+    sealed in, taken over without a copy; bytes past [pf_len] are
+    slack. Private so only bytes that really carry a valid header +
     CRC can bypass per-connection encoding. *)
 
-val preframed : string -> preframed
-(** [preframed payload] = {!frame}[ payload], typed for sharing. One
-    encode + one CRC here covers every connection it is sent on. *)
+val preframe :
+  capacity:int ->
+  (Tpbs_serial.Wire.Writer.t -> 'a -> unit) ->
+  'a ->
+  preframed
+(** [preframe ~capacity encode x] encodes [x] straight into a fresh
+    frame ({!Tpbs_serial.Wire.Frame.add}) and seals it in place.
+    [capacity] is a payload size hint; an exact one leaves no slack.
+    One encode + one CRC here covers every connection the frame is
+    sent on. *)
 
 val preframed_bytes : preframed -> string
-(** The raw framed bytes (header included), ready for the socket. *)
+(** The framed bytes (header included) as a string of their own — a
+    copy only when the storage has slack. *)
 
 val preframed_length : preframed -> int
 (** Payload length (header excluded). *)

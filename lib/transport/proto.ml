@@ -109,9 +109,14 @@ let counters () =
 let count_deliver_encode () = Trace.Counter.incr (fst (counters ()))
 let count_payload_copy () = Trace.Counter.incr (snd (counters ()))
 
-let encode m =
+let encode_into w m =
   (match m with Deliver _ -> count_deliver_encode () | _ -> ());
-  Codec.encode (to_value m)
+  Codec.encode_into w (to_value m)
+
+let encode m =
+  let w = Wire.Writer.create () in
+  encode_into w m;
+  Wire.Writer.contents w
 
 let decode s =
   match Codec.decode s with
@@ -132,21 +137,26 @@ let slice_to_string sl =
   end
 
 (* Encode + frame + CRC a Deliver exactly once, around the envelope
-   slice, producing bytes identical to
+   slice and straight into its frame, producing bytes identical to
    [Frame.frame (encode (Deliver {origin; pseq; cls; envelope}))] —
    the Deliver wire shape carries no per-session field, so one
    preframed string serves every subscriber. *)
-let encode_deliver ~origin ~pseq ~cls (envelope : slice) =
-  count_deliver_encode ();
-  let w = Wire.Writer.create ~capacity:(envelope.sl_len + 64) () in
+let encode_deliver_body w (origin, pseq, cls, (envelope : slice)) =
   Codec.encode_list_header w 5;
   Codec.encode_into w (Value.Str "dlv");
   Codec.encode_into w (Value.Str origin);
   Codec.encode_into w (Value.Int pseq);
   Codec.encode_into w (Value.Str cls);
   Codec.encode_str_sub w envelope.sl_buf ~pos:envelope.sl_off
-    ~len:envelope.sl_len;
-  Frame.preframed (Wire.Writer.contents w)
+    ~len:envelope.sl_len
+
+let encode_deliver ~origin ~pseq ~cls (envelope : slice) =
+  count_deliver_encode ();
+  (* tags, varints and the pseq fit in 48 bytes beside the strings *)
+  Frame.preframe
+    ~capacity:(envelope.sl_len + String.length origin + String.length cls + 48)
+    encode_deliver_body
+    (origin, pseq, cls, envelope)
 
 type view =
   | V_pub of { pseq : int; cls : string; envelope : slice }

@@ -35,6 +35,10 @@ val encode : msg -> string
     counter — {!encode_deliver} bumps it once for the whole fan-out,
     which is what makes "one encode per publish" checkable. *)
 
+val encode_into : Tpbs_serial.Wire.Writer.t -> msg -> unit
+(** {!encode} appending to a writer: with {!Tpbs_serial.Wire.Frame.add}
+    a message is encoded straight into its frame. *)
+
 val decode : string -> msg option
 (** [None] on undecodable bytes or an unknown message shape. *)
 

@@ -94,7 +94,14 @@ let test_uvarint_full_width () =
 let test_crc32_known () =
   (* Standard check value for "123456789". *)
   Alcotest.(check int32) "crc32" 0xCBF43926l (Wire.crc32 "123456789");
-  Alcotest.(check int32) "crc32 empty" 0l (Wire.crc32 "")
+  Alcotest.(check int32) "crc32 empty" 0l (Wire.crc32 "");
+  Alcotest.(check int32) "crc32 a" 0xE8B7BE43l (Wire.crc32 "a");
+  Alcotest.(check int32) "crc32 1 MiB of zeros" 0xA738EA1Cl
+    (Wire.crc32 (String.make (1 lsl 20) '\000'));
+  Alcotest.(check int32) "crc32_sub of an inner slice" 0xCBF43926l
+    (Wire.crc32_sub "xx123456789yyy" ~pos:2 ~len:9);
+  Alcotest.check_raises "crc32_sub bounds" (Invalid_argument "Wire.crc32_sub")
+    (fun () -> ignore (Wire.crc32_sub "abc" ~pos:2 ~len:2))
 
 let test_roundtrip_examples () =
   let samples : Tpbs_serial.Value.t list =
@@ -132,17 +139,99 @@ let test_clone_fresh () =
   | Obj a, Obj b -> Alcotest.(check bool) "physically fresh" false (a == b)
   | _ -> Alcotest.fail "expected objects")
 
+(* --- the shared [len | crc | payload] framing ------------------------ *)
+
+let framed payloads =
+  let w = Wire.Writer.create () in
+  List.iter (Wire.Frame.add w Wire.Writer.raw) payloads;
+  Wire.Writer.contents w
+
+let status_testable =
+  Alcotest.testable
+    (fun ppf st ->
+      Fmt.string ppf
+        (match st with
+        | Wire.Frame.Whole -> "Whole"
+        | Short -> "Short"
+        | Bad_length -> "Bad_length"
+        | Bad_crc -> "Bad_crc"))
+    ( = )
+
+let check_frame ?(max_len = max_int) s off =
+  Wire.Frame.check ~max_len s ~off ~avail:(String.length s - off)
+
 let test_frame_roundtrip () =
   let payload = Codec.encode (Value.obj "X" [ "a", Int 1 ]) in
-  Alcotest.(check string) "unframe . frame" payload
-    (Codec.unframe (Codec.frame payload))
+  let f = framed [ payload ] in
+  Alcotest.check status_testable "whole" Wire.Frame.Whole (check_frame f 0);
+  Alcotest.(check int) "length field" (String.length payload)
+    (Wire.Frame.payload_length f ~off:0);
+  Alcotest.(check string) "payload in place" payload
+    (String.sub f Wire.Frame.header_bytes (String.length payload))
 
 let test_frame_corruption () =
-  let f = Bytes.of_string (Codec.frame "hello world") in
-  Bytes.set f 3 'X';
-  match Codec.unframe (Bytes.to_string f) with
-  | exception Codec.Decode_error _ -> ()
-  | _ -> Alcotest.fail "corrupted frame accepted"
+  let f = Bytes.of_string (framed [ "hello world" ]) in
+  Bytes.set f (Wire.Frame.header_bytes + 3) 'X';
+  Alcotest.check status_testable "payload bit rot" Wire.Frame.Bad_crc
+    (check_frame (Bytes.to_string f) 0);
+  let f = Bytes.of_string (framed [ "hello world" ]) in
+  Bytes.set f 5 (Char.chr (Char.code (Bytes.get f 5) lxor 1));
+  Alcotest.check status_testable "crc field bit rot" Wire.Frame.Bad_crc
+    (check_frame (Bytes.to_string f) 0)
+
+let test_frame_truncation () =
+  let f = framed [ "truncated tail" ] in
+  for k = 0 to String.length f - 1 do
+    Alcotest.check status_testable
+      (Printf.sprintf "prefix of %d bytes" k)
+      Wire.Frame.Short
+      (check_frame (String.sub f 0 k) 0)
+  done
+
+let test_frame_trailing_bytes () =
+  (* Bytes after a frame are never absorbed into its payload: they are
+     the start of the next frame, checked on their own. *)
+  let f = framed [ "first" ] ^ "junk" in
+  Alcotest.check status_testable "first frame whole" Wire.Frame.Whole
+    (check_frame f 0);
+  let next = Wire.Frame.header_bytes + Wire.Frame.payload_length f ~off:0 in
+  Alcotest.(check int) "payload ends at the header's length" 13 next;
+  Alcotest.check status_testable "trailing bytes are a short frame"
+    Wire.Frame.Short (check_frame f next)
+
+let test_frame_length_lies () =
+  (* A length prefix past the available bytes is a short frame; past
+     the caller's bound, or with the top bit set, it is a bad one —
+     before any payload byte arrives. *)
+  let header n =
+    let b = Bytes.create 8 in
+    Bytes.set_int32_le b 0 n;
+    Bytes.set_int32_le b 4 0l;
+    Bytes.to_string b
+  in
+  Alcotest.check status_testable "length past the data" Wire.Frame.Short
+    (check_frame (header 1000l ^ "short") 0);
+  Alcotest.check status_testable "length past the bound" Wire.Frame.Bad_length
+    (check_frame ~max_len:999 (header 1000l ^ "short") 0);
+  Alcotest.check status_testable "top bit set" Wire.Frame.Bad_length
+    (check_frame (header 0x80000005l ^ "short") 0);
+  Alcotest.(check int) "top bit reads negative" (-0x7ffffffb)
+    (Wire.Frame.payload_length (header 0x80000005l) ~off:0)
+
+let test_frame_add_rollback () =
+  let w = Wire.Writer.create () in
+  Wire.Frame.add w Wire.Writer.raw "kept";
+  let before = Wire.Writer.contents w in
+  (match
+     Wire.Frame.add w
+       (fun w () ->
+         Wire.Writer.raw w "partial";
+         Wire.Writer.varint w (-1))
+       ()
+   with
+  | () -> Alcotest.fail "encode error swallowed"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check string) "writer rolled back" before (Wire.Writer.contents w)
 
 let test_deep_nesting () =
   let rec nest n v =
@@ -166,15 +255,6 @@ let test_value_weight_and_field () =
     (Value.field v "z");
   Alcotest.(check (option value_testable)) "field on non-object" None
     (Value.field (Value.Int 3) "a")
-
-let test_unframe_length_lies () =
-  (* A frame whose length prefix exceeds the available bytes. *)
-  let w = Wire.Writer.create () in
-  Wire.Writer.varint w 1000;
-  Wire.Writer.raw w "short";
-  match Codec.unframe (Wire.Writer.contents w) with
-  | exception Codec.Decode_error _ -> ()
-  | _ -> Alcotest.fail "lying length accepted"
 
 (* --- lazy field projection (Cursor) ----------------------------------- *)
 
@@ -321,8 +401,54 @@ let prop_encoded_size =
 
 let prop_frame =
   QCheck.Test.make ~name:"frame roundtrip" ~count:200
-    QCheck.(string_of_size (QCheck.Gen.int_range 0 200))
-    (fun s -> String.equal s (Codec.unframe (Codec.frame s)))
+    QCheck.(
+      pair
+        (string_of_size (QCheck.Gen.int_range 0 200))
+        (string_of_size (QCheck.Gen.int_range 0 20)))
+    (fun (s, pre) ->
+      (* framed after an arbitrary prefix, so the header and payload
+         sit at every alignment *)
+      let f = pre ^ framed [ s ] in
+      let off = String.length pre in
+      check_frame f off = Wire.Frame.Whole
+      && Wire.Frame.payload_length f ~off = String.length s
+      && String.sub f (off + Wire.Frame.header_bytes) (String.length s) = s)
+
+(* Bit-at-a-time CRC-32 (reflected 0xEDB88320, init and xor-out
+   0xFFFFFFFF): the definition, with no table, as the oracle for the
+   sliced kernel. *)
+let crc32_reference s pos len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let prop_crc32_reference =
+  (* Unaligned starts (0-7 bytes into the string), every tail length
+     0-15 past the 8-byte steps, and lengths up to 64 KiB. *)
+  let gen =
+    QCheck.Gen.(
+      let* pos = int_range 0 7 in
+      let* len =
+        frequency
+          [ (3, int_range 0 15); (2, int_range 16 300);
+            (1, int_range 0 (1 lsl 16)) ]
+      in
+      let* extra = int_range 0 7 in
+      let* s = string_size ~gen:char (return (pos + len + extra)) in
+      return (s, pos, len))
+  in
+  QCheck.Test.make ~name:"crc32_sub = bit-at-a-time reference" ~count:400
+    (QCheck.make
+       ~print:(fun (s, pos, len) ->
+         Printf.sprintf "pos=%d len=%d size=%d" pos len (String.length s))
+       gen)
+    (fun (s, pos, len) ->
+      Int32.equal (Wire.crc32_sub s ~pos ~len) (crc32_reference s pos len))
 
 (* Boundary-biased generators: random draws almost never hit the
    encoding's interesting seams (7-bit group boundaries, the sign
@@ -424,8 +550,13 @@ let suite =
       Alcotest.test_case "deep nesting" `Quick test_deep_nesting;
       Alcotest.test_case "value weight/field" `Quick
         test_value_weight_and_field;
-      Alcotest.test_case "unframe rejects lying length" `Quick
-        test_unframe_length_lies;
+      Alcotest.test_case "frame check rejects lying length" `Quick
+        test_frame_length_lies;
+      Alcotest.test_case "frame truncation is short" `Quick
+        test_frame_truncation;
+      Alcotest.test_case "frame trailing bytes" `Quick test_frame_trailing_bytes;
+      Alcotest.test_case "frame add rolls back on error" `Quick
+        test_frame_add_rollback;
       Alcotest.test_case "cursor class-id peek" `Quick test_cursor_class_id;
       Alcotest.test_case "cursor projection examples" `Quick
         test_cursor_projection_examples;
@@ -436,7 +567,7 @@ let suite =
         test_cursor_of_substring ]
     @ List.map QCheck_alcotest.to_alcotest
         [ prop_cursor_agrees_with_decode; prop_roundtrip; prop_encoded_size;
-          prop_frame;
+          prop_frame; prop_crc32_reference;
           prop_varint_boundary_roundtrip; prop_zigzag_boundary_roundtrip;
           prop_varint_overflow_always_rejected;
           prop_compare_reflexive ]

@@ -47,6 +47,76 @@ let seg_files dir =
   |> List.filter (fun n -> Filename.check_suffix n ".log")
   |> List.sort compare
 
+let of_hex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let to_hex s =
+  String.concat ""
+    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+(* Golden on-disk bytes: [len u32 LE | crc32 u32 LE | payload]. These
+   pin the record format; logs written by earlier builds must keep
+   recovering. *)
+let test_record_golden () =
+  Alcotest.(check string) "put a=alpha"
+    "0e0000000e83091a060303000501610505616c706861"
+    (to_hex (Record.frame ~op:Record.Put ~key:"a" ~value:"alpha"));
+  Alcotest.(check string) "delete a" "09000000166c8223060303020501610500"
+    (to_hex (Record.frame ~op:Record.Delete ~key:"a" ~value:""))
+
+let golden_segment =
+  "0a000000e2f8aff9060303000501610501310a000000b6061372060303000501620501320a000000ce99a11706030300050161050133090000004fd2c421060303020501620500180000005951421806030300050d636572743a71313a6c6f673a370503ffffff"
+
+let test_golden_segment_recovers () =
+  with_dir @@ fun dir ->
+  Sys.mkdir dir 0o755;
+  let oc = open_out_bin (Filename.concat dir "seg-00000000.log") in
+  output_string oc (of_hex golden_segment);
+  close_out oc;
+  let t = Log.open_ ~dir () in
+  Alcotest.(check (list (pair string string)))
+    "key/value state"
+    [ ("a", "3"); ("cert:q1:log:7", "\xff\xff\xff") ]
+    (List.sort compare (contents t));
+  let st = Log.stats t in
+  Alcotest.(check int) "every record replayed" 5 st.recovered_records;
+  Alcotest.(check int) "nothing torn" 0 st.torn_bytes;
+  Alcotest.(check int) "nothing corrupt" 0 st.corrupt_records;
+  Log.close t
+
+let test_header_bitrot_is_corrupt () =
+  (* A length field with its top bit set is bit rot in a header, not a
+     partial write: recovery must count a CRC reject, and still
+     truncate the tail there. *)
+  with_dir @@ fun dir ->
+  let module Trace = Tpbs_trace.Trace in
+  let tr = Trace.create () in
+  Trace.set_ambient tr;
+  let t = Log.open_ ~dir () in
+  Log.put t "a" "alpha";
+  Log.put t "b" "beta";
+  Log.close t;
+  let path = Filename.concat dir (List.hd (seg_files dir)) in
+  let ic = open_in_bin path in
+  let buf = Bytes.of_string (really_input_string ic (in_channel_length ic)) in
+  close_in ic;
+  let first = String.length (Record.frame ~op:Record.Put ~key:"a" ~value:"alpha") in
+  Bytes.set buf (first + 3) (Char.chr (Char.code (Bytes.get buf (first + 3)) lor 0x80));
+  let oc = open_out_bin path in
+  output_bytes oc buf;
+  close_out oc;
+  let t = Log.open_ ~dir () in
+  Alcotest.(check (list (pair string string)))
+    "prefix survives" [ ("a", "alpha") ] (contents t);
+  let value name = Trace.Counter.value (Trace.counter tr name) in
+  Alcotest.(check int) "counted as a CRC reject" 1 (value "store.crc_rejects");
+  Alcotest.(check int) "corrupt_records" 1 (Log.stats t).corrupt_records;
+  Alcotest.(check int) "tail truncated from the bad header"
+    (Bytes.length buf - first) (value "store.torn_bytes");
+  Log.close t
+
 let test_crc_rejection () =
   with_dir @@ fun dir ->
   let t = Log.open_ ~dir () in
@@ -520,6 +590,11 @@ let suite =
       Alcotest.test_case "CRC rejection truncates at corruption" `Quick
         test_crc_rejection;
       Alcotest.test_case "torn tail truncation" `Quick test_torn_tail_truncation;
+      Alcotest.test_case "record golden bytes" `Quick test_record_golden;
+      Alcotest.test_case "golden segment recovers" `Quick
+        test_golden_segment_recovers;
+      Alcotest.test_case "header bit rot is corrupt, not torn" `Quick
+        test_header_bitrot_is_corrupt;
       Alcotest.test_case "segment rotation" `Quick test_rotation;
       Alcotest.test_case "merge compaction" `Quick test_compaction;
       Alcotest.test_case "fast segment drop bounds disk" `Quick

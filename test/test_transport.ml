@@ -699,7 +699,13 @@ let test_chunk_queue_order_under_partial_writes () =
         :: !expected
     end
     else begin
-      let m = Proto.Credit { n = i } in
+      (* own sends, encoded in place: small credits and big publishes
+         share the accumulator, which flush writes where it lies *)
+      let m =
+        if i mod 3 = 1 then
+          Proto.Pub { pseq = i; cls = "TQuote"; envelope = String.make 5000 (Char.chr i) }
+        else Proto.Credit { n = i }
+      in
       Conn.send conn m;
       expected := Proto.encode m :: !expected
     end
@@ -743,6 +749,142 @@ let test_chunk_queue_order_under_partial_writes () =
     (List.length !got);
   Alcotest.(check bool) "in order, bit-exact" true (List.rev !got = expected);
   Unix.close a;
+  Unix.close b
+
+let test_max_sessions_refuses_surplus () =
+  (* An in-process broker capped at 4 sessions takes 8 dials: 4 are
+     refused (closed at accept, counted), and the 4 it kept still get
+     every publish exactly once. Raw sockets speak the protocol. *)
+  let tr = Trace.create () in
+  Trace.set_ambient tr;
+  let b =
+    Broker.create ~config:{ instant_config with max_sessions = 4 } ~port:0 ()
+  in
+  let socks = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        !socks;
+      Broker.stop b)
+  @@ fun () ->
+  let pump () =
+    for _ = 1 to 5 do
+      ignore (Broker.poll b ~timeout_ms:5 ())
+    done
+  in
+  let dial () =
+    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+    socks := fd :: !socks;
+    Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, Broker.port b));
+    pump ();
+    fd
+  in
+  let send fd m =
+    let s = Frame.frame (Proto.encode m) in
+    ignore (Unix.write_substring fd s 0 (String.length s))
+  in
+  let dials = List.init 8 (fun _ -> dial ()) in
+  let kept = List.filteri (fun i _ -> i < 4) dials in
+  let refused = List.filteri (fun i _ -> i >= 4) dials in
+  let count name = Trace.Counter.value (Trace.counter tr name) in
+  Alcotest.(check int) "refused dials counted" 4 (count "tpbsd.accept_refused");
+  Alcotest.(check int) "kept sessions" 4 (Broker.session_count b);
+  List.iter
+    (fun fd ->
+      ignore (Unix.select [ fd ] [] [] 1.0);
+      let buf = Bytes.create 16 in
+      match Unix.read fd buf 0 16 with
+      | 0 | (exception Unix.Unix_error _) -> ()
+      | _ -> Alcotest.fail "a refused dial got bytes")
+    refused;
+  let subs = List.tl kept and pub = List.hd kept in
+  List.iteri
+    (fun i fd ->
+      send fd (Proto.Hello { client = Printf.sprintf "c%d" i; window = 64 });
+      send fd (Proto.Advertise { cls = "TQuote"; supers = [] }))
+    kept;
+  List.iter
+    (fun fd -> send fd (Proto.Sub { sid = 0; param = "TQuote"; filter = Value.Null }))
+    subs;
+  pump ();
+  let n = 20 in
+  for i = 0 to n - 1 do
+    let obvent = Codec.encode (Value.obj "TQuote" [ ("seq", Value.Int i) ]) in
+    let envelope =
+      Codec.encode Value.(List [ Int 0; Int 1; Int i; Str obvent ])
+    in
+    send pub (Proto.Pub { pseq = i; cls = "TQuote"; envelope })
+  done;
+  let got = List.map (fun fd -> (fd, Frame.Decoder.create (), ref [])) subs in
+  let buf = Bytes.create 65536 in
+  let deadline = Unix.gettimeofday () +. 5. in
+  let all_in () = List.for_all (fun (_, _, l) -> List.length !l >= n) got in
+  while (not (all_in ())) && Unix.gettimeofday () < deadline do
+    pump ();
+    List.iter
+      (fun (fd, dec, l) ->
+        match Unix.select [ fd ] [] [] 0.0 with
+        | [], _, _ -> ()
+        | _ ->
+            let k = Unix.read fd buf 0 (Bytes.length buf) in
+            Frame.Decoder.feed dec (Bytes.unsafe_to_string buf) 0 k;
+            let rec drain () =
+              match Frame.Decoder.pop dec with
+              | Frame.Decoder.Frame f ->
+                  (match Proto.decode f with
+                  | Some (Proto.Deliver { pseq; _ }) -> l := pseq :: !l
+                  | _ -> ());
+                  drain ()
+              | Frame.Decoder.Await -> ()
+              | Frame.Decoder.Corrupt m -> Alcotest.failf "corrupt: %s" m
+            in
+            drain ())
+      got
+  done;
+  List.iter
+    (fun (_, _, l) ->
+      Alcotest.(check (list int)) "every publish exactly once, in order"
+        (List.init n Fun.id) (List.rev !l))
+    got
+
+let hex s =
+  String.concat ""
+    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+(* Golden wire bytes, [len u32 LE | crc32 u32 LE | payload]: the
+   framing, the fan-out encode and a connection's own send must all
+   produce exactly these. *)
+let test_frame_golden () =
+  Alcotest.(check string) "frame hello" "0500000086a6103668656c6c6f"
+    (hex (Frame.frame "hello"));
+  Alcotest.(check string) "frame empty" "0000000000000000" (hex (Frame.frame ""));
+  let dlv =
+    "25000000f9947ef206050503646c760503707562030e050a53746f636b51756f74650509656e762d6279746573"
+  in
+  Alcotest.(check string) "framed deliver" dlv
+    (hex
+       (Frame.frame
+          (Proto.encode
+             (Deliver
+                { origin = "pub"; pseq = 7; cls = "StockQuote"; envelope = "env-bytes" }))));
+  let env = "<<env-bytes>>" in
+  Alcotest.(check string) "encode_deliver" dlv
+    (hex
+       (Frame.preframed_bytes
+          (Proto.encode_deliver ~origin:"pub" ~pseq:7 ~cls:"StockQuote"
+             (slice_of ~buf:env ~off:2 ~len:9))));
+  Trace.set_ambient (Trace.create ());
+  let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
+  let conn = Conn.create a in
+  Conn.send conn (Proto.Credit { n = 64 });
+  Alcotest.(check bool) "flushed" true (Conn.flush conn = `Ok);
+  let buf = Bytes.create 64 in
+  let k = Unix.read b buf 0 64 in
+  Alcotest.(check string) "Conn.send bytes" "0d00000034ea2ec006020506637265646974038001"
+    (hex (Bytes.sub_string buf 0 k));
+  Conn.close conn;
   Unix.close b
 
 let test_syscall_stats_balance () =
@@ -905,6 +1047,9 @@ let test_broker_encode_once_counters () =
 let suite =
   ( "transport",
     [ Alcotest.test_case "framing roundtrip" `Quick test_frame_roundtrip;
+      Alcotest.test_case "framing golden bytes" `Quick test_frame_golden;
+      Alcotest.test_case "broker max_sessions refuses surplus" `Quick
+        test_max_sessions_refuses_surplus;
       Alcotest.test_case "framing byte-at-a-time" `Quick test_frame_dribble;
       Alcotest.test_case "framing all split points" `Quick
         test_frame_all_split_points;
